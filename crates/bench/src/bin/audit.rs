@@ -32,45 +32,46 @@ use std::time::Instant;
 
 use bench::{render_table, write_bench_json};
 use benchmarks::{
-    multi_gpu_arrays, read_multi_gpu_outputs, refresh_multi_gpu_arrays, scales, Bench, PlanArg,
+    grcuda_args, grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench,
+    BenchSpec,
 };
-use gpu_sim::{DeviceProfile, Grid};
-use grcuda::{Arg, AuditReport, GrCuda, MultiArg, MultiGpu, Options, PlacementPolicy};
+use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
+use grcuda::{Arg, AuditReport, DeviceArray, GrCuda, Options, PlacementPolicy};
 
 /// Run one suite under one placement policy and audit the complete
 /// inferred schedule before the host reads retire it.
 fn audit_suite(b: Bench, policy: PlacementPolicy, n_devices: usize) -> AuditReport {
     let spec = b.build(scales::tiny(b));
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        n_devices,
-        Options::parallel(),
-        policy,
-    );
-    let arrays = multi_gpu_arrays(&mut m, &spec);
-    refresh_multi_gpu_arrays(&mut m, &spec, &arrays);
-    for op in &spec.ops {
-        let args: Vec<MultiArg> = op
-            .args
-            .iter()
-            .map(|a| match a {
-                PlanArg::Arr(k) => MultiArg::array(&arrays[*k]),
-                PlanArg::Scalar(v) => MultiArg::scalar(*v),
-            })
-            .collect();
-        m.launch(op.def, op.grid, &args)
-            .expect("suite launches validate");
-    }
-    let report = m.audit();
-    read_multi_gpu_outputs(&m, &spec, &arrays);
-    m.sync();
+    let dev = DeviceProfile::tesla_p100();
+    let topology = Topology::preset(TopologyKind::PcieOnly, n_devices, &dev);
+    let g = GrCuda::with_topology(dev, topology, Options::parallel(), policy);
+    let arrays = grcuda_arrays(&g, &spec);
+    refresh_grcuda_arrays(&spec, &arrays);
+    launch_plan(&g, &spec, &arrays);
+    let report = g.audit();
+    read_grcuda_outputs(&spec, &arrays);
+    g.sync();
     assert_eq!(
-        m.races(),
+        g.races().len(),
         0,
         "{} under {policy:?}: dynamic race despite clean audit",
         spec.name
     );
     report
+}
+
+/// Launch every op of the plan once, building each kernel once.
+fn launch_plan(g: &GrCuda, spec: &BenchSpec, arrays: &[DeviceArray]) {
+    let kernels: Vec<_> = spec
+        .ops
+        .iter()
+        .map(|op| g.build_kernel(op.def).expect("suite signatures parse"))
+        .collect();
+    for (op, kernel) in spec.ops.iter().zip(&kernels) {
+        kernel
+            .launch(op.grid, &grcuda_args(op, arrays))
+            .expect("suite launches validate");
+    }
 }
 
 /// Negative control #1: disable dependency inference and audit the
@@ -85,26 +86,9 @@ fn inject_inference_off() -> AuditReport {
             .without_dependency_inference()
             .with_prefetch(grcuda::PrefetchPolicy::None),
     );
-    let arrays = benchmarks::grcuda_arrays(&g, &spec);
-    benchmarks::refresh_grcuda_arrays(&spec, &arrays);
-    let kernels: Vec<_> = spec
-        .ops
-        .iter()
-        .map(|op| g.build_kernel(op.def).expect("suite signatures parse"))
-        .collect();
-    for (op, kernel) in spec.ops.iter().zip(&kernels) {
-        let args: Vec<Arg> = op
-            .args
-            .iter()
-            .map(|a| match a {
-                PlanArg::Arr(i) => Arg::array(&arrays[*i]),
-                PlanArg::Scalar(v) => Arg::scalar(*v),
-            })
-            .collect();
-        kernel
-            .launch(op.grid, &args)
-            .expect("suite launches validate");
-    }
+    let arrays = grcuda_arrays(&g, &spec);
+    refresh_grcuda_arrays(&spec, &arrays);
+    launch_plan(&g, &spec, &arrays);
     // Audit before anything retires: the evidence is the point.
     g.audit()
 }

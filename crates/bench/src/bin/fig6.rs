@@ -9,7 +9,7 @@
 use bench::render_table;
 use benchmarks::{run_grcuda, scales, Bench};
 use gpu_sim::DeviceProfile;
-use grcuda::{Arg, GrCuda, Options};
+use grcuda::{GrCuda, Options};
 
 fn main() {
     let dot = std::env::args().any(|a| a == "--dot");
@@ -41,15 +41,8 @@ fn main() {
             .collect();
         for op in &spec.ops {
             let k = g.build_kernel(op.def).unwrap();
-            let args: Vec<Arg> = op
-                .args
-                .iter()
-                .map(|a| match a {
-                    benchmarks::PlanArg::Arr(i) => Arg::array(&arrays[*i]),
-                    benchmarks::PlanArg::Scalar(v) => Arg::scalar(*v),
-                })
-                .collect();
-            k.launch(op.grid, &args).unwrap();
+            k.launch(op.grid, &benchmarks::grcuda_args(op, &arrays))
+                .unwrap();
         }
         // Dump the DAG before syncing — `sync()` compacts retired
         // vertices, which is exactly the structure Fig. 6 draws.

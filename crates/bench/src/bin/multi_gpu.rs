@@ -35,11 +35,11 @@
 
 use bench::{ms, render_table, write_bench_json};
 use benchmarks::{
-    oversub_capacity, oversub_configs, oversubscribe, run_multi_gpu, scales, transfer_chain, Bench,
-    OversubResult, TransferChainResult,
+    oversub_capacity, oversub_configs, oversubscribe, run_multi_gpu_topo, scales, transfer_chain,
+    Bench, OversubResult, TransferChainResult,
 };
 use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
-use grcuda::{MultiArg, MultiGpu, Options, PlacementPolicy};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy};
 use kernels::black_scholes::BLACK_SCHOLES;
 use kernels::util::SCALE;
 use metrics::OverlapMetrics;
@@ -49,65 +49,63 @@ const G: Grid = Grid {
     threads: (256, 1, 1),
 };
 
+/// `n_dev` P100s behind PCIe host links only.
+fn p100_box(n_dev: usize, policy: PlacementPolicy) -> GrCuda {
+    let dev = DeviceProfile::tesla_p100();
+    let topology = Topology::preset(TopologyKind::PcieOnly, n_dev, &dev);
+    GrCuda::with_topology(dev, topology, Options::parallel(), policy)
+}
+
 fn pricing(n_dev: usize, policy: PlacementPolicy, n: usize) -> (f64, usize) {
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        n_dev,
-        Options::parallel(),
-        policy,
-    );
+    let g = p100_box(n_dev, policy);
+    let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
     for _ in 0..8 {
-        let x = m.array_f64(n);
-        let y = m.array_f64(n);
-        m.write_f64(&x, &vec![100.0; n]);
-        m.launch(
-            &BLACK_SCHOLES,
+        let x = g.array_f64(n);
+        let y = g.array_f64(n);
+        x.fill_f64(100.0);
+        bs.launch(
             G,
             &[
-                MultiArg::array(&x),
-                MultiArg::array(&y),
-                MultiArg::scalar(n as f64),
-                MultiArg::scalar(100.0),
-                MultiArg::scalar(0.02),
-                MultiArg::scalar(0.3),
-                MultiArg::scalar(1.0),
+                Arg::array(&x),
+                Arg::array(&y),
+                Arg::scalar(n as f64),
+                Arg::scalar(100.0),
+                Arg::scalar(0.02),
+                Arg::scalar(0.3),
+                Arg::scalar(1.0),
             ],
         )
         .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
-    (m.makespan(), m.migration_stats().0)
+    g.sync();
+    assert_eq!(g.races().len(), 0);
+    (g.now(), g.migration_stats().0)
 }
 
 fn chain(n_dev: usize, policy: PlacementPolicy, n: usize) -> (f64, usize, usize) {
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        n_dev,
-        Options::parallel(),
-        policy,
-    );
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    m.write_f32(&x, &vec![1.0; n]);
+    let g = p100_box(n_dev, policy);
+    let scale = g.build_kernel(&SCALE).unwrap();
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    x.fill_f32(1.0);
     for i in 0..12 {
         let (src, dst) = if i % 2 == 0 { (&x, &y) } else { (&y, &x) };
-        m.launch(
-            &SCALE,
-            G,
-            &[
-                MultiArg::array(src),
-                MultiArg::array(dst),
-                MultiArg::scalar(1.001),
-                MultiArg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
+        scale
+            .launch(
+                G,
+                &[
+                    Arg::array(src),
+                    Arg::array(dst),
+                    Arg::scalar(1.001),
+                    Arg::scalar(n as f64),
+                ],
+            )
+            .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
-    let (migs, bytes) = m.migration_stats();
-    (m.makespan(), migs, bytes)
+    g.sync();
+    assert_eq!(g.races().len(), 0);
+    let (migs, bytes) = g.migration_stats();
+    (g.now(), migs, bytes)
 }
 
 /// Suite × devices × policy sweep: every combination must validate
@@ -129,7 +127,15 @@ fn policy_sweep(smoke: bool) {
                 if n_dev == 1 && policy != PlacementPolicy::SingleGpu {
                     continue; // placement is moot on one device
                 }
-                let r = run_multi_gpu(&spec, &dev, Options::parallel(), n_dev, policy, iters);
+                let r = run_multi_gpu_topo(
+                    &spec,
+                    &dev,
+                    Options::parallel(),
+                    n_dev,
+                    policy,
+                    TopologyKind::PcieOnly,
+                    iters,
+                );
                 assert_eq!(r.run.races, 0, "{} x{n_dev} {policy:?}: raced", spec.name);
                 r.run.valid.as_ref().unwrap_or_else(|e| {
                     panic!(
@@ -408,12 +414,13 @@ fn main() {
         } else {
             scales::sweep(Bench::Vec)[1]
         });
-        let r = run_multi_gpu(
+        let r = run_multi_gpu_topo(
             &spec,
             &DeviceProfile::tesla_p100(),
             Options::parallel(),
             4,
             PlacementPolicy::StreamAware,
+            TopologyKind::PcieOnly,
             2,
         );
         r.run.valid.as_ref().expect("sweep run validates");

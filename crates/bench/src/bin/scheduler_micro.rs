@@ -30,8 +30,8 @@ use std::time::Instant;
 
 use bench::{render_table, round_sig, write_bench_json};
 use dag::DenseMap;
-use gpu_sim::{DeviceProfile, Grid};
-use grcuda::{Arg, BatchLaunch, GrCuda, MultiArg, MultiGpu, Options, PlacementPolicy};
+use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
+use grcuda::{Arg, BatchLaunch, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::SCALE;
 
 /// Ops per arena measurement (insert + window probe + retire).
@@ -138,49 +138,58 @@ fn main() {
     let batch_speedup = round_sig(serial_virt_us / batch_virt_us, 6);
 
     // --- pipeline: 4-device round-robin chains (placement + solver) ---
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        4,
+    let dev = DeviceProfile::tesla_p100();
+    let topology = Topology::preset(TopologyKind::PcieOnly, 4, &dev);
+    let pipe = GrCuda::with_topology(
+        dev,
+        topology,
         Options::parallel(),
         PlacementPolicy::RoundRobin,
     );
-    let chains: Vec<[grcuda::MultiArray; 2]> = (0..PIPE_CHAINS)
-        .map(|_| [m.array_f32(n), m.array_f32(n)])
+    let scale = pipe
+        .build_kernel(&SCALE)
+        .expect("registered signatures parse");
+    let chains: Vec<[DeviceArray; 2]> = (0..PIPE_CHAINS)
+        .map(|_| [pipe.array_f32(n), pipe.array_f32(n)])
         .collect();
     for [a, b] in &chains {
-        m.write_f32(a, &vec![1.0; n]);
-        m.write_f32(b, &vec![0.0; n]);
+        a.fill_f32(1.0);
+        b.fill_f32(0.0);
     }
-    m.sync();
-    let v0 = m.runtime().now();
+    pipe.sync();
+    let v0 = pipe.now();
     let t0 = Instant::now();
     let pipe_launches = PIPE_CHAINS * PIPE_ROUNDS;
     for round in 0..PIPE_ROUNDS {
         // One launch per chain per round; round-robin pins chain c to
         // device c % 4, so after the initial transfers each device runs
         // an independent kernel pipeline.
-        let calls: Vec<_> = chains
+        let args: Vec<[Arg; 4]> = chains
             .iter()
             .map(|[a, b]| {
                 let (src, dst) = if round % 2 == 0 { (a, b) } else { (b, a) };
-                (
-                    &SCALE,
-                    grid,
-                    vec![
-                        MultiArg::array(src),
-                        MultiArg::array(dst),
-                        MultiArg::scalar(1.01),
-                        MultiArg::scalar(n as f64),
-                    ],
-                )
+                [
+                    Arg::array(src),
+                    Arg::array(dst),
+                    Arg::scalar(1.01),
+                    Arg::scalar(n as f64),
+                ]
             })
             .collect();
-        m.launch_batch(&calls).expect("pipeline batch");
+        let calls: Vec<BatchLaunch<'_>> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &scale,
+                grid,
+                args,
+            })
+            .collect();
+        pipe.launch_batch(&calls).expect("pipeline batch");
     }
-    m.sync();
+    pipe.sync();
     let pipe_wall_ns = t0.elapsed().as_secs_f64() * 1e9 / pipe_launches as f64;
-    let pipe_rate = pipe_launches as f64 / (m.runtime().now() - v0);
-    let st = m.stats();
+    let pipe_rate = pipe_launches as f64 / (pipe.now() - v0);
+    let st = pipe.stats();
     let solver_touched = st.rate_tasks_solved + st.rate_tasks_reused;
     let hit_pct = 100.0 * st.rate_tasks_reused as f64 / solver_touched.max(1) as f64;
     assert!(

@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use bench::{render_table, write_bench_json};
 use benchmarks::{
-    grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench, PlanArg,
+    grcuda_args, grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench,
 };
 use gpu_sim::DeviceProfile;
 use grcuda::{Arg, BatchLaunch, GrCuda, Options, SchedulerStats};
@@ -87,20 +87,7 @@ fn soak_suite(b: Bench, quota: usize, sync_every: usize, read_every: usize) -> S
     // slot.
     let slot_arg_lists: Vec<Vec<Vec<Arg>>> = slots
         .iter()
-        .map(|arrays| {
-            spec.ops
-                .iter()
-                .map(|op| {
-                    op.args
-                        .iter()
-                        .map(|a| match a {
-                            PlanArg::Arr(i) => Arg::array(&arrays[*i]),
-                            PlanArg::Scalar(v) => Arg::scalar(*v),
-                        })
-                        .collect()
-                })
-                .collect()
-        })
+        .map(|arrays| spec.ops.iter().map(|op| grcuda_args(op, arrays)).collect())
         .collect();
     g.sync();
     g.clear_timeline();

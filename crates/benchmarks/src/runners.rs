@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use cuda_sim::{Cuda, CudaGraph, KernelExec, StreamId, UnifiedArray};
 use gpu_sim::{DataBuffer, DeviceProfile, Timeline, TypedData};
-use grcuda::{Arg, GrCuda, MultiArg, MultiArray, MultiGpu, Options, PlacementPolicy, Signature};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy, Signature, Topology, TopologyKind};
 
 use crate::spec::{BenchSpec, PlanArg, PlanOp};
 
@@ -188,6 +188,17 @@ pub fn refresh_grcuda_arrays(spec: &BenchSpec, arrays: &[grcuda::DeviceArray]) {
     }
 }
 
+/// The launch arguments of one plan op over the spec's managed arrays.
+pub fn grcuda_args(op: &PlanOp, arrays: &[grcuda::DeviceArray]) -> Vec<Arg> {
+    op.args
+        .iter()
+        .map(|a| match a {
+            PlanArg::Arr(k) => Arg::array(&arrays[*k]),
+            PlanArg::Scalar(v) => Arg::scalar(*v),
+        })
+        .collect()
+}
+
 /// Perform the spec's end-of-iteration host reads (VEC's `res = Z[0]`
 /// pattern) — the fine-grained synchronization points of a request.
 pub fn read_grcuda_outputs(spec: &BenchSpec, arrays: &[grcuda::DeviceArray]) {
@@ -222,8 +233,15 @@ pub fn run_grcuda(
     options: Options,
     iters: usize,
 ) -> RunResult {
-    let g = GrCuda::new(dev.clone(), options);
-    let arrays = grcuda_arrays(&g, spec);
+    run_built(&GrCuda::new(dev.clone(), options), spec, iters)
+}
+
+/// The iteration loop every GrCUDA runner shares, on a built runtime:
+/// allocate and fill the arrays, build each kernel once, then per
+/// iteration refresh the streaming inputs, launch the plan, do the
+/// host reads and sync.
+fn run_built(g: &GrCuda, spec: &BenchSpec, iters: usize) -> RunResult {
+    let arrays = grcuda_arrays(g, spec);
     let mut kernels: HashMap<&'static str, grcuda::Kernel> = HashMap::new();
     for op in &spec.ops {
         kernels
@@ -236,16 +254,8 @@ pub fn run_grcuda(
         refresh_grcuda_arrays(spec, &arrays);
         g.clear_timeline();
         for op in &spec.ops {
-            let args: Vec<Arg> = op
-                .args
-                .iter()
-                .map(|a| match a {
-                    PlanArg::Arr(k) => Arg::array(&arrays[*k]),
-                    PlanArg::Scalar(v) => Arg::scalar(*v),
-                })
-                .collect();
             kernels[op.def.name]
-                .launch(op.grid, &args)
+                .launch(op.grid, &grcuda_args(op, &arrays))
                 .expect("suite launches validate");
         }
         read_grcuda_outputs(spec, &arrays);
@@ -287,148 +297,34 @@ impl MultiRunResult {
     }
 }
 
-/// Allocate the spec's managed arrays in a multi-GPU front-end and write
-/// their initial contents (every element type the specs use, including
-/// `sint32`).
-pub fn multi_gpu_arrays(m: &mut MultiGpu, spec: &BenchSpec) -> Vec<MultiArray> {
-    spec.arrays
-        .iter()
-        .map(|a| match &a.init {
-            TypedData::F32(v) => {
-                let d = m.array_f32(v.len());
-                m.write_f32(&d, v);
-                d
-            }
-            TypedData::F64(v) => {
-                let d = m.array_f64(v.len());
-                m.write_f64(&d, v);
-                d
-            }
-            TypedData::I32(v) => {
-                let d = m.array_i32(v.len());
-                m.write_i32(&d, v);
-                d
-            }
-            TypedData::U8(v) => {
-                let d = m.array_u8(v.len());
-                m.write_u8(&d, v);
-                d
-            }
-        })
-        .collect()
-}
-
-/// Re-write streaming inputs with their initial contents, as each
-/// iteration of the paper's benchmarks does.
-pub fn refresh_multi_gpu_arrays(m: &mut MultiGpu, spec: &BenchSpec, arrays: &[MultiArray]) {
-    for (i, a) in spec.arrays.iter().enumerate() {
-        if a.refresh_each_iter {
-            match &a.init {
-                TypedData::F32(v) => m.write_f32(&arrays[i], v),
-                TypedData::F64(v) => m.write_f64(&arrays[i], v),
-                TypedData::I32(v) => m.write_i32(&arrays[i], v),
-                TypedData::U8(v) => m.write_u8(&arrays[i], v),
-            }
-        }
-    }
-}
-
-/// The spec's end-of-iteration host reads (fine-grained sync points).
-pub fn read_multi_gpu_outputs(m: &MultiGpu, spec: &BenchSpec, arrays: &[MultiArray]) {
-    for (k, cnt) in &spec.outputs {
-        for i in 0..*cnt {
-            match &spec.arrays[*k].init {
-                TypedData::F32(_) => {
-                    m.get_f32(&arrays[*k], i);
-                }
-                TypedData::F64(_) => {
-                    m.get_f64(&arrays[*k], i);
-                }
-                TypedData::I32(_) => {
-                    m.get_i32(&arrays[*k], i);
-                }
-                TypedData::U8(_) => {
-                    m.get_u8(&arrays[*k], i);
-                }
-            }
-        }
-    }
-}
-
 /// Run the spec through the unified multi-GPU scheduler: `n_devices`
-/// simulated devices behind one DAG/stream-manager core, with placement
-/// decided per-kernel by `policy`. Results are validated against the
-/// same sequential CPU reference as every other runner, so any two
-/// policies (or device counts) that validate are bit-identical to each
-/// other — the parity the policy sweep asserts.
-pub fn run_multi_gpu(
-    spec: &BenchSpec,
-    dev: &DeviceProfile,
-    options: Options,
-    n_devices: usize,
-    policy: PlacementPolicy,
-    iters: usize,
-) -> MultiRunResult {
-    run_multi_gpu_topo(
-        spec,
-        dev,
-        options,
-        n_devices,
-        policy,
-        grcuda::TopologyKind::PcieOnly,
-        iters,
-    )
-}
-
-/// [`run_multi_gpu`] on an explicit interconnect preset — the same DAG
-/// scheduled on a different machine. Validation is topology-independent:
-/// links change transfer routes and timing, never results.
-#[allow(clippy::too_many_arguments)]
+/// simulated devices joined by the `topology` preset behind one
+/// DAG/stream-manager core, with placement decided per kernel by
+/// `policy`. Results are validated against the same sequential CPU
+/// reference as every other runner, so any two policies, device counts
+/// or topologies that validate are bit-identical to each other — the
+/// parity the policy sweep asserts. Links change transfer routes and
+/// timing, never results.
 pub fn run_multi_gpu_topo(
     spec: &BenchSpec,
     dev: &DeviceProfile,
     options: Options,
     n_devices: usize,
     policy: PlacementPolicy,
-    topology: grcuda::TopologyKind,
+    topology: TopologyKind,
     iters: usize,
 ) -> MultiRunResult {
-    let mut m = MultiGpu::with_topology(dev.clone(), n_devices, options, policy, topology);
-    let arrays = multi_gpu_arrays(&mut m, spec);
-
-    let mut iter_times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        refresh_multi_gpu_arrays(&mut m, spec, &arrays);
-        m.clear_timeline();
-        for op in &spec.ops {
-            let args: Vec<MultiArg> = op
-                .args
-                .iter()
-                .map(|a| match a {
-                    PlanArg::Arr(k) => MultiArg::array(&arrays[*k]),
-                    PlanArg::Scalar(v) => MultiArg::scalar(*v),
-                })
-                .collect();
-            m.launch(op.def, op.grid, &args)
-                .expect("suite launches validate");
-        }
-        read_multi_gpu_outputs(&m, spec, &arrays);
-        m.sync();
-        iter_times.push(m.runtime().timeline().gpu_span());
-    }
-
-    let buffers: Vec<DataBuffer> = arrays.iter().map(|a| a.raw_buffer()).collect();
-    let timeline = m.runtime().timeline();
+    let g = GrCuda::with_topology(
+        dev.clone(),
+        Topology::preset(topology, n_devices, dev),
+        options,
+        policy,
+    );
+    let run = run_built(&g, spec, iters);
     MultiRunResult {
-        migrations: m.migration_stats(),
-        devices_used: timeline.devices_used().len(),
-        run: RunResult {
-            iter_times,
-            streams_used: timeline.streams_used(),
-            races: m.races(),
-            valid: validate(spec, &buffers, iters),
-            timeline,
-        },
+        migrations: g.migration_stats(),
+        devices_used: run.timeline.devices_used().len(),
+        run,
     }
 }
 
@@ -693,12 +589,13 @@ mod tests {
         // the full suite x device x policy parity matrix lives in
         // `tests/policies.rs` and the CI `multi_gpu --smoke` sweep.
         let spec = Bench::Hits.build(scales::tiny(Bench::Hits));
-        let r = run_multi_gpu(
+        let r = run_multi_gpu_topo(
             &spec,
             &dev(),
             Options::parallel(),
             2,
             PlacementPolicy::RoundRobin,
+            TopologyKind::PcieOnly,
             2,
         );
         r.assert_ok();

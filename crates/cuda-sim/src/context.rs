@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use gpu_sim::memgr::{MemoryManager, MemoryStats};
+use gpu_sim::memgr::{FixedHasher, MemoryManager, MemoryStats};
 use gpu_sim::{
     DeviceProfile, Engine, EngineStats, RaceReport, TaskId, TaskKind, TaskSpec, Time, Timeline,
     Topology, TopologyKind, TypedData, ValueId,
@@ -87,7 +87,7 @@ pub(crate) struct Inner {
     /// Arrays brought in by a prefetch and not yet consumed by a kernel
     /// on that device — the set prefetch *hits* are counted against.
     /// Indexed by device.
-    prefetched: Vec<HashSet<ValueId>>,
+    prefetched: Vec<HashSet<ValueId, FixedHasher>>,
     /// Eviction/prefetch events awaiting [`Cuda::take_mem_events`]
     /// (recorded only while enabled, so raw contexts that never drain
     /// them stay bounded).
@@ -103,33 +103,24 @@ pub struct Cuda {
 }
 
 impl Cuda {
-    /// Create a context for the given device profile.
+    /// Create a context for one device behind a PCIe host link:
+    /// [`Cuda::with_topology`] on a one-device
+    /// [`TopologyKind::PcieOnly`] preset.
     pub fn new(dev: DeviceProfile) -> Self {
-        Self::new_multi(dev, 1)
+        let topo = Topology::preset(TopologyKind::PcieOnly, 1, &dev);
+        Self::with_topology(dev, topo)
     }
 
-    /// Create a context spanning `n` identical devices sharing one
-    /// virtual clock, connected by host (PCIe) links only. Streams are
-    /// created on a device ([`Cuda::stream_create_on`]) and data moves
-    /// between devices through host-mediated migrations charged on both
-    /// PCIe links.
-    pub fn new_multi(dev: DeviceProfile, n: usize) -> Self {
-        Self::new_multi_topo(dev, n, TopologyKind::PcieOnly)
-    }
-
-    /// [`Cuda::new_multi`] with an explicit interconnect preset. Where
-    /// the topology has a direct device↔device link, cross-device
-    /// migrations use peer-to-peer DMA over that link (charged to it and
-    /// contending on it); device pairs without a link fall back to
-    /// host-mediated staging over both PCIe links.
-    pub fn new_multi_topo(dev: DeviceProfile, n: usize, kind: TopologyKind) -> Self {
-        Self::with_topology(dev.clone(), Topology::preset(kind, n, &dev))
-    }
-
-    /// [`Cuda::new_multi`] over a fully custom [`Topology`]. The
-    /// topology's [`gpu_sim::MemoryConfig`] gives every device its
-    /// finite memory: allocations and migrations that would exceed it
-    /// evict resident arrays back to the host as real copy tasks.
+    /// Create a context over any machine described by a [`Topology`]:
+    /// its devices share one virtual clock, streams are created on a
+    /// device ([`Cuda::stream_create_on`]), and where the topology has
+    /// a direct device↔device link, cross-device migrations use
+    /// peer-to-peer DMA over that link (charged to it and contending on
+    /// it); device pairs without a link fall back to host-mediated
+    /// staging over both PCIe links. The topology's
+    /// [`gpu_sim::MemoryConfig`] gives every device its finite memory:
+    /// allocations and migrations that would exceed it evict resident
+    /// arrays back to the host as real copy tasks.
     pub fn with_topology(dev: DeviceProfile, topo: Topology) -> Self {
         let n = topo.device_count();
         let n_links = topo.links().len();
@@ -155,7 +146,7 @@ impl Cuda {
                 cross_node_migrations: 0,
                 cross_node_bytes: 0,
                 memgr,
-                prefetched: vec![HashSet::new(); n],
+                prefetched: vec![HashSet::default(); n],
                 mem_events: Vec::new(),
                 record_mem_events: false,
             })),
@@ -1303,6 +1294,13 @@ mod tests {
         Cuda::new(DeviceProfile::gtx1660_super())
     }
 
+    /// `n` P100s joined by the `kind` interconnect preset.
+    fn p100_box(n: usize, kind: TopologyKind) -> Cuda {
+        let dev = DeviceProfile::tesla_p100();
+        let topo = Topology::preset(kind, n, &dev);
+        Cuda::with_topology(dev, topo)
+    }
+
     fn simple_kernel(c: &Cuda, name: &str, arr: &UnifiedArray, ms: f64) -> KernelExec {
         let _ = c;
         KernelExec::new(
@@ -1533,7 +1531,7 @@ mod tests {
 
     #[test]
     fn cross_device_migration_is_charged_and_ordered() {
-        let c = Cuda::new_multi(DeviceProfile::tesla_p100(), 2);
+        let c = p100_box(2, TopologyKind::PcieOnly);
         let bytes = 4 << 20;
         let a = c.alloc_f32(bytes / 4);
         let s0 = c.default_stream();
@@ -1570,7 +1568,7 @@ mod tests {
         // an NVLink pair: one direct P2P copy, no D2H staging leg, and
         // the data arrives strictly faster than over the host path.
         let run = |kind: TopologyKind| {
-            let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 2, kind);
+            let c = p100_box(2, kind);
             let bytes = 16 << 20;
             let a = c.alloc_f32(bytes / 4);
             let s1 = c.stream_create_on(1);
@@ -1624,7 +1622,7 @@ mod tests {
 
     #[test]
     fn prefetch_uses_the_peer_link_when_available() {
-        let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 2, TopologyKind::FullyConnected);
+        let c = p100_box(2, TopologyKind::FullyConnected);
         let a = c.alloc_f32(1 << 20);
         let s1 = c.stream_create_on(1);
         let k = simple_kernel(&c, "produce", &a, 0.5);
@@ -1646,7 +1644,7 @@ mod tests {
 
     #[test]
     fn transfer_time_estimates_follow_the_links() {
-        let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 4, TopologyKind::NvlinkPair);
+        let c = p100_box(4, TopologyKind::NvlinkPair);
         let dev = c.device();
         let n = 1 << 20;
         let bytes = (n * 4) as f64;
@@ -1690,7 +1688,7 @@ mod tests {
 
     #[test]
     fn same_link_same_direction_p2p_copies_serialize() {
-        let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 2, TopologyKind::NvlinkPair);
+        let c = p100_box(2, TopologyKind::NvlinkPair);
         let n = 4 << 20;
         let a = c.alloc_f32(n / 4);
         let b = c.alloc_f32(n / 4);
@@ -1724,7 +1722,7 @@ mod tests {
     fn host_staged_data_reaches_other_devices_without_migration() {
         // Fresh host data is placement-neutral: any device takes it with
         // a plain H2D, never a cross-device migration.
-        let c = Cuda::new_multi(DeviceProfile::tesla_p100(), 2);
+        let c = p100_box(2, TopologyKind::PcieOnly);
         let a = c.alloc_f32(1 << 18);
         let b = c.alloc_f32(1 << 18);
         let s1 = c.stream_create_on(1);

@@ -30,10 +30,19 @@
 //!   peak-resident bytes, prefetch hit rate: the `memory` section of the
 //!   scheduler's gauges.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use crate::data::ValueId;
 use crate::Time;
+
+/// Fixed-key hashing for maps that churn (insert and remove) on the
+/// launch path. Their tables grow when tombstones run out, and where
+/// the tombstones fall depends on the hash keys: under the default
+/// per-map random keys the heap allocation count of a run could differ
+/// by one between runs. Fixed keys make it repeat exactly.
+pub type FixedHasher = BuildHasherDefault<DefaultHasher>;
 
 /// Victim-selection strategy when a device is out of capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -203,7 +212,7 @@ struct Entry {
 /// [module docs](self)).
 pub struct MemoryManager {
     cfg: MemoryConfig,
-    resident: Vec<HashMap<ValueId, Entry>>,
+    resident: Vec<HashMap<ValueId, Entry, FixedHasher>>,
     resident_bytes: Vec<usize>,
     peak_resident: Vec<usize>,
     evictions: usize,
@@ -223,7 +232,7 @@ impl MemoryManager {
     pub fn new(n_devices: usize, cfg: MemoryConfig) -> Self {
         MemoryManager {
             cfg,
-            resident: vec![HashMap::new(); n_devices],
+            resident: vec![HashMap::default(); n_devices],
             resident_bytes: vec![0; n_devices],
             peak_resident: vec![0; n_devices],
             evictions: 0,

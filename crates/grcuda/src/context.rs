@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use cuda_sim::{Cuda, KernelExec, MemEventKind, StreamId, UnifiedArray};
 use dag::{ArgAccess, ComputationDag, DenseMap, ElementKind, Value, VertexId};
-use gpu_sim::memgr::{MemoryConfig, MemoryStats};
+use gpu_sim::memgr::MemoryStats;
 use gpu_sim::{
     Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, RaceReport, TaskId, Time, Timeline,
     Topology, TopologyKind,
@@ -157,144 +157,65 @@ pub struct GrCuda {
 }
 
 impl GrCuda {
-    /// Create a runtime for a device with the given scheduler options.
+    /// Create a runtime for one device with the given scheduler options:
+    /// [`GrCuda::with_topology`] on a one-device PCIe box under
+    /// [`PlacementPolicy::SingleGpu`].
     pub fn new(dev: DeviceProfile, options: Options) -> Self {
-        Self::new_multi(dev, 1, options, PlacementPolicy::SingleGpu)
+        let topology = Topology::preset(TopologyKind::PcieOnly, 1, &dev);
+        Self::with_topology(dev, topology, options, PlacementPolicy::SingleGpu)
     }
 
-    /// Create a runtime spanning `n` identical devices behind one
-    /// scheduler core: one computation DAG, one stream manager with
-    /// per-device pools, one engine — so multi-GPU launches get
-    /// dependency inference, first-child stream claims, retire/compact
-    /// and [`GrCuda::scheduler_stats`] exactly like single-GPU ones. The
-    /// placement policy is consulted once per computational element with
-    /// its DAG context (parent devices, argument residency, per-device
-    /// load).
-    pub fn new_multi(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: PlacementPolicy,
-    ) -> Self {
-        Self::with_placement(dev, n, options, placement.build())
-    }
-
-    /// [`GrCuda::new_multi`] with an explicit interconnect preset. The
-    /// topology decides how cross-device migrations travel (direct P2P
-    /// DMA over peer links, host-mediated staging otherwise) and feeds
-    /// the per-candidate transfer-time estimates the placement policy
-    /// sees ([`PlacementCtx::est_transfer_time`]).
-    pub fn new_multi_topo(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: PlacementPolicy,
-        topology: TopologyKind,
-    ) -> Self {
-        Self::with_placement_topo(dev, n, options, placement.build(), topology)
-    }
-
-    /// [`GrCuda::new_multi`] with a custom [`DeviceSelectionPolicy`] —
-    /// the extension point for placement strategies beyond the built-in
-    /// ones (sharding, batching, heterogeneous-device weighting, ...).
+    /// Create a runtime over any machine described by a [`Topology`]:
+    /// every device behind one scheduler core — one computation DAG,
+    /// one stream manager with per-device pools, one engine on one
+    /// virtual clock — so multi-GPU launches get dependency inference,
+    /// first-child stream claims, retire/compact and
+    /// [`GrCuda::scheduler_stats`] exactly like single-GPU ones.
+    ///
+    /// The topology is the whole machine description, mirroring
+    /// [`Cuda::with_topology`]: a box is
+    /// `Topology::preset(kind, n, &dev)` (its links decide how
+    /// cross-device migrations travel — direct P2P DMA over peer links,
+    /// host-mediated staging otherwise — and feed the transfer-time
+    /// estimates in [`PlacementCtx::est_transfer_time`]), optionally
+    /// `.with_memory(memory)` for finite device memory (oversubscribing
+    /// launches evict under `memory.eviction`; the policy sees
+    /// [`PlacementCtx::free_bytes`]); a cluster is `cluster.build(&dev)`
+    /// (see [`GrCuda::with_cluster`]). The placement policy is consulted
+    /// once per computational element with its DAG context.
     ///
     /// # Examples
     ///
     /// ```
     /// use grcuda::{
-    ///     Arg, DeviceProfile, DeviceSelectionPolicy, GrCuda, Grid, Options, PlacementCtx,
+    ///     Arg, DeviceProfile, GrCuda, Grid, Options, PlacementPolicy, Topology, TopologyKind,
     /// };
     /// use kernels::vec_ops::SQUARE;
     ///
-    /// /// Sticky placement: follow the first parent, else device 0.
-    /// struct FollowParent;
-    ///
-    /// impl DeviceSelectionPolicy for FollowParent {
-    ///     fn name(&self) -> &'static str {
-    ///         "follow-parent"
-    ///     }
-    ///     fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-    ///         ctx.parent_devices.first().copied().unwrap_or(0)
-    ///     }
-    /// }
-    ///
-    /// let g = GrCuda::with_placement(
-    ///     DeviceProfile::tesla_p100(),
-    ///     4,
-    ///     Options::parallel(),
-    ///     Box::new(FollowParent),
-    /// );
-    /// let x = g.array_f32(256);
-    /// x.fill_f32(3.0);
-    /// let sq = g.build_kernel(&SQUARE).unwrap();
-    /// sq.launch(Grid::d1(1, 256), &[Arg::array(&x), Arg::scalar(256.0)])
+    /// let dev = DeviceProfile::tesla_p100();
+    /// let topology = Topology::preset(TopologyKind::NvlinkPair, 4, &dev);
+    /// let policy = PlacementPolicy::TransferAware;
+    /// let g = GrCuda::with_topology(dev, topology, Options::parallel(), policy);
+    /// assert_eq!(g.now(), 0.0);
+    /// let n = 1 << 12;
+    /// let x = g.array_f32(n);
+    /// x.copy_from_f32(&vec![3.0; n]);
+    /// let square = g.build_kernel(&SQUARE).unwrap();
+    /// let device = square
+    ///     .launch_placed(Grid::d1(16, 256), &[Arg::array(&x), Arg::scalar(n as f64)])
     ///     .unwrap();
+    /// assert!(device < 4);
     /// g.sync();
     /// assert_eq!(x.get_f32(0), 9.0);
+    /// assert!(g.now() > 0.0);
     /// ```
-    pub fn with_placement(
+    pub fn with_topology(
         dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: Box<dyn DeviceSelectionPolicy>,
-    ) -> Self {
-        Self::with_placement_topo(dev, n, options, placement, TopologyKind::PcieOnly)
-    }
-
-    /// [`GrCuda::new_multi_topo`] with a finite device-memory
-    /// configuration: every device gets `memory.capacity` bytes, and
-    /// launches whose arguments exceed the headroom evict resident
-    /// arrays under `memory.eviction` (spill copies contend on the
-    /// interconnect like any other transfer). The placement policy sees
-    /// per-device free bytes ([`PlacementCtx::free_bytes`]);
-    /// [`PlacementPolicy::MemoryAware`] is built for exactly this
-    /// setting.
-    pub fn new_multi_mem(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: PlacementPolicy,
-        topology: TopologyKind,
-        memory: MemoryConfig,
-    ) -> Self {
-        let topo = Topology::preset(topology, n, &dev).with_memory(memory);
-        let cuda = Cuda::with_topology(dev, topo);
-        Self::from_cuda(cuda, options, placement.build())
-    }
-
-    /// Custom placement policy *and* interconnect preset.
-    pub fn with_placement_topo(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: Box<dyn DeviceSelectionPolicy>,
-        topology: TopologyKind,
-    ) -> Self {
-        let cuda = Cuda::new_multi_topo(dev, n, topology);
-        Self::from_cuda(cuda, options, placement)
-    }
-
-    /// [`GrCuda::new_multi`] over a multi-node [`gpu_sim::Cluster`]:
-    /// one scheduler core spanning every GPU of every node, with NIC
-    /// links in the same global rate solve, the deterministic batch
-    /// partitioner active on [`GrCuda::launch_batch`], and cross-node
-    /// migrations routed GPU→host→NIC→host→GPU. Pair it with
-    /// [`PlacementPolicy::NodeAware`] so placement honors the
-    /// partition; a one-node cluster is bit-identical to
-    /// [`GrCuda::new_multi_topo`] on the same preset.
-    pub fn with_cluster(
-        dev: DeviceProfile,
-        cluster: &gpu_sim::Cluster,
+        topology: Topology,
         options: Options,
         placement: PlacementPolicy,
     ) -> Self {
-        let topo = cluster.build(&dev);
-        let cuda = Cuda::with_topology(dev, topo);
-        Self::from_cuda(cuda, options, placement.build())
-    }
-
-    /// Shared constructor tail over a ready [`Cuda`] context.
-    fn from_cuda(cuda: Cuda, options: Options, placement: Box<dyn DeviceSelectionPolicy>) -> Self {
+        let cuda = Cuda::with_topology(dev, topology);
         // The scheduler drains eviction/prefetch events after every
         // launch to annotate its DAG; recording is safe to leave on
         // because the drain keeps the buffer bounded.
@@ -316,7 +237,7 @@ impl GrCuda {
                 options,
                 dag: ComputationDag::new(),
                 streams: StreamManager::new(options.dep_stream, options.stream_reuse),
-                placement,
+                placement: placement.build(),
                 vertex_task: DenseMap::new(),
                 vertex_stream: DenseMap::new(),
                 vertex_device: DenseMap::new(),
@@ -331,6 +252,69 @@ impl GrCuda {
                 partition_cut_bytes: 0,
             })),
         }
+    }
+
+    /// [`GrCuda::with_topology`] on a multi-node [`gpu_sim::Cluster`]:
+    /// one scheduler core spanning every GPU of every node, with NIC
+    /// links in the same global rate solve, the deterministic batch
+    /// partitioner active on [`GrCuda::launch_batch`] (see
+    /// [`crate::partition`]), and cross-node migrations routed
+    /// GPU→host→NIC→host→GPU. Pair it with
+    /// [`PlacementPolicy::NodeAware`] so placement honors the
+    /// partition; a one-node cluster is bit-identical to
+    /// [`GrCuda::with_topology`] on the same preset.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use grcuda::{
+    ///     Arg, BatchLaunch, Cluster, DeviceProfile, GrCuda, Grid, NicKind, Options,
+    ///     PlacementPolicy, TopologyKind,
+    /// };
+    /// use kernels::util::SCALE;
+    ///
+    /// // 2 nodes × 2 GPUs joined by InfiniBand HDR NICs.
+    /// let cluster = Cluster::new(2, 2, TopologyKind::PcieOnly, NicKind::InfinibandHdr);
+    /// let g = GrCuda::with_cluster(
+    ///     DeviceProfile::tesla_p100(),
+    ///     &cluster,
+    ///     Options::parallel(),
+    ///     PlacementPolicy::NodeAware,
+    /// );
+    /// assert_eq!(g.device_count(), 4);
+    /// assert_eq!(g.node_count(), 2);
+    ///
+    /// // Two independent chains, batch-submitted: the partitioner keeps
+    /// // each chain on one node, so nothing crosses the NICs.
+    /// let n = 1 << 12;
+    /// let arrays: Vec<_> = (0..4).map(|_| g.array_f32(n)).collect();
+    /// let scale = g.build_kernel(&SCALE).unwrap();
+    /// let args: Vec<_> = (0..2)
+    ///     .map(|c| {
+    ///         [
+    ///             Arg::array(&arrays[2 * c]),
+    ///             Arg::array(&arrays[2 * c + 1]),
+    ///             Arg::scalar(2.0),
+    ///             Arg::scalar(n as f64),
+    ///         ]
+    ///     })
+    ///     .collect();
+    /// let calls: Vec<_> = args
+    ///     .iter()
+    ///     .map(|a| BatchLaunch { kernel: &scale, grid: Grid::d1(16, 256), args: a })
+    ///     .collect();
+    /// g.launch_batch(&calls).unwrap();
+    /// g.sync();
+    /// assert_eq!(g.cross_node_migration_stats(), (0, 0));
+    /// ```
+    pub fn with_cluster(
+        dev: DeviceProfile,
+        cluster: &gpu_sim::Cluster,
+        options: Options,
+        placement: PlacementPolicy,
+    ) -> Self {
+        let topology = cluster.build(&dev);
+        Self::with_topology(dev, topology, options, placement)
     }
 
     /// Number of identical devices this runtime schedules.
@@ -1622,6 +1606,80 @@ mod tests {
         ms.launch(G, &[Arg::array(&x), Arg::scalar(5.0), Arg::scalar(8.0)])
             .unwrap();
         assert_eq!(x.get_f32(3), 5.0);
+    }
+
+    #[test]
+    fn aliased_writable_arguments_are_rejected_at_submit() {
+        let g = p100();
+        let (x, z) = (g.array_f32(16), g.array_f32(16));
+        x.fill_f32(1.0);
+        let scale = g.build_kernel(&SCALE).unwrap();
+        let (vertices, tasks) = (g.dag_len(), g.stats().submitted);
+        let aliased = [
+            Arg::array(&z),
+            Arg::array(&z),
+            Arg::scalar(2.0),
+            Arg::scalar(16.0),
+        ];
+        let want = crate::LaunchError::Aliased {
+            kernel: "scale".into(),
+            first: 0,
+            second: 1,
+        };
+        assert_eq!(scale.launch(G, &aliased), Err(want.clone()));
+        assert_eq!(scale.launch_placed(G, &aliased), Err(want.clone()));
+        assert_eq!(scale.launch_autotuned(64, &aliased), Err(want.clone()));
+        // A batch with one aliased call launches nothing at all.
+        let fine = [
+            Arg::array(&x),
+            Arg::array(&z),
+            Arg::scalar(2.0),
+            Arg::scalar(16.0),
+        ];
+        let batch = [
+            BatchLaunch {
+                kernel: &scale,
+                grid: G,
+                args: &fine,
+            },
+            BatchLaunch {
+                kernel: &scale,
+                grid: G,
+                args: &aliased,
+            },
+        ];
+        assert_eq!(g.launch_batch(&batch), Err(want));
+        assert_eq!((g.dag_len(), g.stats().submitted), (vertices, tasks));
+        // The runtime is untouched: sync completes and later launches run.
+        g.sync();
+        scale.launch(G, &fine).unwrap();
+        g.sync();
+        assert_eq!(z.get_f32(15), 2.0);
+        assert!(g.races().is_empty());
+    }
+
+    #[test]
+    fn aliased_const_arguments_still_launch() {
+        let g = p100();
+        let n = 1000;
+        let (x, out) = (g.array_f32(n), g.array_f32(1));
+        let data: Vec<f32> = (0..n).map(|i| (i % 7) as f32 - 3.0).collect();
+        x.copy_from_f32(&data);
+        let dot = g.build_kernel(&DOT).unwrap();
+        dot.launch(
+            G,
+            &[
+                Arg::array(&x),
+                Arg::array(&x),
+                Arg::array(&out),
+                Arg::scalar(n as f64),
+            ],
+        )
+        .unwrap();
+        g.sync();
+        let reference: f64 = data.iter().map(|&v| v as f64 * v as f64).sum();
+        assert_eq!(out.get_f32(0), reference as f32);
+        assert!(g.races().is_empty());
     }
 
     #[test]

@@ -65,6 +65,18 @@ pub enum LaunchError {
         /// Element type of the array supplied.
         got: String,
     },
+    /// One array sits at two pointer positions and at least one of them
+    /// may write it. The kernel body would hold a write borrow of the
+    /// buffer alongside a second borrow, so the launch cannot run; two
+    /// `const` uses of the same array are legal.
+    Aliased {
+        /// Kernel name.
+        kernel: String,
+        /// Zero-based index of the first position holding the array.
+        first: usize,
+        /// Zero-based index of the second position holding it.
+        second: usize,
+    },
     /// The launch's argument set is larger than any device's memory:
     /// even evicting every other resident array could not make it fit.
     /// Raised only under a finite [`gpu_sim::MemoryConfig`] capacity.
@@ -102,6 +114,15 @@ impl fmt::Display for LaunchError {
             } => write!(
                 f,
                 "kernel `{kernel}` argument {index}: expected {expected} array, got {got}"
+            ),
+            LaunchError::Aliased {
+                kernel,
+                first,
+                second,
+            } => write!(
+                f,
+                "kernel `{kernel}` arguments {first} and {second} are the same array \
+                 and at least one of them is not `const`"
             ),
             LaunchError::OutOfMemory {
                 kernel,
@@ -171,8 +192,8 @@ impl Kernel {
     }
 
     /// [`Kernel::launch`], additionally reporting the device the
-    /// placement policy chose (always 0 on single-device runtimes). The
-    /// multi-GPU front-end and the placement tests use this to observe
+    /// placement policy chose (always 0 on single-device runtimes).
+    /// Multi-GPU runners and the placement tests use this to observe
     /// scheduling decisions without changing them.
     pub fn launch_placed(&self, grid: Grid, args: &[Arg]) -> Result<u32, LaunchError> {
         self.validate(args)?;
@@ -216,7 +237,8 @@ impl Kernel {
         Ok(grid)
     }
 
-    /// Check arity, kinds and element types.
+    /// Check arity, kinds, element types and aliasing. Allocates only
+    /// on the error path.
     pub(crate) fn validate(&self, args: &[Arg]) -> Result<(), LaunchError> {
         if args.len() != self.sig.params.len() {
             return Err(LaunchError::ArityMismatch {
@@ -227,7 +249,14 @@ impl Kernel {
         }
         for (i, (p, a)) in self.sig.params.iter().zip(args).enumerate() {
             match (p, a) {
-                (NidlParam::Pointer { ty, .. }, Arg::Array(arr)) => {
+                (NidlParam::Pointer { ty, read_only, .. }, Arg::Array(arr)) => {
+                    if let Some(first) = self.first_alias(&args[..i], arr, *read_only) {
+                        return Err(LaunchError::Aliased {
+                            kernel: self.def.name.into(),
+                            first,
+                            second: i,
+                        });
+                    }
                     if let Some(expected) = ty.buffer_type_name() {
                         let got = arr.type_name();
                         if got != expected {
@@ -250,5 +279,21 @@ impl Kernel {
             }
         }
         Ok(())
+    }
+
+    /// The first of the `earlier` arguments that passes `arr` again at a
+    /// pointer position, where that use or this one (`read_only`) may
+    /// write.
+    fn first_alias(&self, earlier: &[Arg], arr: &DeviceArray, read_only: bool) -> Option<usize> {
+        self.sig
+            .params
+            .iter()
+            .zip(earlier)
+            .position(|(p, a)| match (p, a) {
+                (NidlParam::Pointer { read_only: ro, .. }, Arg::Array(prev)) => {
+                    prev.arr.id == arr.arr.id && !(read_only && *ro)
+                }
+                _ => false,
+            })
     }
 }

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use gpu_sim::{DeviceProfile, Grid, MemoryConfig, TopologyKind, TypedData};
+use gpu_sim::{DeviceProfile, Grid, MemoryConfig, Topology, TopologyKind, TypedData};
 use kernels::KernelDef;
 
 use crate::array::DeviceArray;
@@ -149,7 +149,9 @@ pub enum ServeError {
     /// A handle's index does not exist in the owner's namespace.
     BadHandle(u32),
     /// Admission control rejected the request: some launch in it could
-    /// never fit device memory, even after evicting everything else.
+    /// never run — it aliases a written array across two arguments
+    /// ([`LaunchError::Aliased`]) or it cannot fit device memory even
+    /// after evicting everything else.
     Rejected(LaunchError),
     /// The request is malformed (signature mismatch, bad write shape,
     /// zero-length allocation, unparsable kernel).
@@ -322,14 +324,9 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// Build a core (and its scheduler runtime) from a configuration.
     pub fn new(config: ServeConfig) -> Self {
-        let g = GrCuda::new_multi_mem(
-            config.device,
-            config.devices,
-            config.options,
-            config.placement,
-            config.topology,
-            config.memory,
-        );
+        let topology = Topology::preset(config.topology, config.devices, &config.device)
+            .with_memory(config.memory);
+        let g = GrCuda::with_topology(config.device, topology, config.options, config.placement);
         ServiceCore {
             g,
             fairness: config.fairness.build(),
@@ -526,9 +523,15 @@ impl ServiceCore {
                     ArgSpec::Scalar(v) => args.push(Arg::Scalar(*v)),
                 }
             }
-            kernel
-                .validate(&args)
-                .map_err(|e| ServeError::Invalid(e.to_string()))?;
+            match kernel.validate(&args) {
+                Ok(()) => {}
+                // An aliased launch is well-formed but can never run.
+                Err(e @ LaunchError::Aliased { .. }) => {
+                    self.tenant_mut(t)?.rejected += 1;
+                    return Err(ServeError::Rejected(e));
+                }
+                Err(e) => return Err(ServeError::Invalid(e.to_string())),
+            }
             // Admission control: the same distinct-argument-bytes bound
             // the scheduler enforces per launch, applied *before* the
             // request enters the queue — so a can-never-fit launch is a

@@ -7,7 +7,7 @@
 //! bounded by the live frontier, while the lifetime counters keep
 //! growing.
 
-use benchmarks::{grcuda_arrays, scales, Bench, PlanArg};
+use benchmarks::{grcuda_args, grcuda_arrays, scales, Bench};
 use gpu_sim::DeviceProfile;
 use grcuda::{Arg, GrCuda, Options};
 
@@ -26,15 +26,7 @@ fn soak(b: Bench, cycles: usize) -> usize {
     let mut launches = 0usize;
     for cycle in 0..cycles {
         for (op, k) in spec.ops.iter().zip(&kernels) {
-            let args: Vec<Arg> = op
-                .args
-                .iter()
-                .map(|a| match a {
-                    PlanArg::Arr(i) => Arg::array(&arrays[*i]),
-                    PlanArg::Scalar(v) => Arg::scalar(*v),
-                })
-                .collect();
-            k.launch(op.grid, &args).unwrap();
+            k.launch(op.grid, &grcuda_args(op, &arrays)).unwrap();
             launches += 1;
             peak_stored = peak_stored.max(g.scheduler_stats().stored_vertices);
         }
@@ -170,13 +162,14 @@ fn serial_mode_launch_loop_keeps_launch_info_bounded() {
 
 #[test]
 fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
-    // The unified MultiGpu path rides the exact same scheduler core, so
-    // the same bounded-state guarantee must hold with work spread over
+    // A multi-GPU runtime rides the exact same scheduler core, so the
+    // same bounded-state guarantee must hold with work spread over
     // several devices: after each sync, every per-vertex map — including
     // the vertex→device placements — is back to the empty-frontier
     // baseline, whatever the placement policy.
-    use benchmarks::{multi_gpu_arrays, read_multi_gpu_outputs, refresh_multi_gpu_arrays};
-    use grcuda::{MultiArg, MultiGpu, PlacementPolicy};
+    use benchmarks::{read_grcuda_outputs, refresh_grcuda_arrays};
+    use gpu_sim::{Topology, TopologyKind};
+    use grcuda::PlacementPolicy;
 
     for policy in [
         PlacementPolicy::RoundRobin,
@@ -185,29 +178,28 @@ fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
     ] {
         for b in [Bench::Vec, Bench::Ml] {
             let spec = b.build(scales::tiny(b));
-            let mut m = MultiGpu::new(DeviceProfile::tesla_p100(), 2, Options::parallel(), policy);
-            let arrays = multi_gpu_arrays(&mut m, &spec);
+            let dev = DeviceProfile::tesla_p100();
+            let topology = Topology::preset(TopologyKind::PcieOnly, 2, &dev);
+            let g = GrCuda::with_topology(dev, topology, Options::parallel(), policy);
+            let arrays = grcuda_arrays(&g, &spec);
+            let kernels: Vec<_> = spec
+                .ops
+                .iter()
+                .map(|op| g.build_kernel(op.def).unwrap())
+                .collect();
             let mut launches = 0usize;
             let mut peak_stored = 0usize;
             for cycle in 0..20 {
-                refresh_multi_gpu_arrays(&mut m, &spec, &arrays);
-                for op in &spec.ops {
-                    let args: Vec<MultiArg> = op
-                        .args
-                        .iter()
-                        .map(|a| match a {
-                            PlanArg::Arr(i) => MultiArg::array(&arrays[*i]),
-                            PlanArg::Scalar(v) => MultiArg::scalar(*v),
-                        })
-                        .collect();
-                    m.launch(op.def, op.grid, &args).unwrap();
+                refresh_grcuda_arrays(&spec, &arrays);
+                for (op, k) in spec.ops.iter().zip(&kernels) {
+                    k.launch(op.grid, &grcuda_args(op, &arrays)).unwrap();
                     launches += 1;
-                    peak_stored = peak_stored.max(m.scheduler_stats().stored_vertices);
+                    peak_stored = peak_stored.max(g.scheduler_stats().stored_vertices);
                 }
-                read_multi_gpu_outputs(&m, &spec, &arrays);
-                m.sync();
-                m.clear_timeline();
-                let st = m.scheduler_stats();
+                read_grcuda_outputs(&spec, &arrays);
+                g.sync();
+                g.clear_timeline();
+                let st = g.scheduler_stats();
                 let ctx = format!("{} {policy:?} cycle {cycle}: {st:?}", spec.name);
                 assert_eq!(st.live_vertices, 0, "{ctx}");
                 assert_eq!(st.stored_vertices, 0, "{ctx}");
@@ -218,9 +210,9 @@ fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
                 assert_eq!(st.vertex_streams, 0, "{ctx}");
                 assert_eq!(st.vertex_devices, 0, "{ctx}");
                 assert_eq!(st.launch_infos, 0, "{ctx}");
-                assert_eq!(m.stats().retained_tasks, 0, "{ctx}");
+                assert_eq!(g.stats().retained_tasks, 0, "{ctx}");
             }
-            let st = m.scheduler_stats();
+            let st = g.scheduler_stats();
             assert!(
                 st.lifetime_vertices >= launches,
                 "{}: lifetime counter kept the full story",
@@ -231,7 +223,7 @@ fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
                 "{} {policy:?}: peak stored {peak_stored}",
                 spec.name
             );
-            assert_eq!(m.races(), 0, "{} {policy:?}", spec.name);
+            assert_eq!(g.races().len(), 0, "{} {policy:?}", spec.name);
         }
     }
 }
@@ -244,50 +236,52 @@ fn finite_memory_soak_drains_to_the_live_working_set() {
     // after every sync() they must be bounded by the live working set
     // (what the program's arrays could occupy at most) — eviction keeps
     // the resident set honest, and nothing leaks cycle over cycle.
-    use gpu_sim::{EvictionPolicy, MemoryConfig, TopologyKind};
-    use grcuda::{MultiArg, MultiGpu, PlacementPolicy};
+    use gpu_sim::{EvictionPolicy, MemoryConfig, Topology, TopologyKind};
+    use grcuda::PlacementPolicy;
     use kernels::util::SCALE;
 
     let n = 1 << 12; // 16 KiB arrays
     let bytes = 4 * n;
     let capacity = 2 * bytes + bytes / 2; // 2.5 arrays per device
-    let mut m = MultiGpu::with_memory(
-        DeviceProfile::tesla_p100(),
-        2,
+    let dev = DeviceProfile::tesla_p100();
+    let memory = MemoryConfig::with_capacity(capacity).with_eviction(EvictionPolicy::CostAware);
+    let topology = Topology::preset(TopologyKind::PcieOnly, 2, &dev).with_memory(memory);
+    let g = GrCuda::with_topology(
+        dev,
+        topology,
         Options::parallel(),
         PlacementPolicy::MemoryAware,
-        TopologyKind::PcieOnly,
-        MemoryConfig::with_capacity(capacity).with_eviction(EvictionPolicy::CostAware),
     );
+    let scale = g.build_kernel(&SCALE).unwrap();
     // 6 arrays = 96 KiB working set vs 40 KiB per-device capacity.
-    let arrays: Vec<_> = (0..6).map(|_| m.array_f32(n)).collect();
+    let arrays: Vec<_> = (0..6).map(|_| g.array_f32(n)).collect();
     let working_set: usize = arrays.iter().map(|a| a.byte_len()).sum();
     for (i, a) in arrays.iter().enumerate() {
-        m.write_f32(a, &vec![i as f32; n]);
+        a.fill_f32(i as f32);
     }
     let mut last_evictions = 0;
     for cycle in 0..15 {
         for i in 0..arrays.len() {
             let (src, dst) = (&arrays[i], &arrays[(i + 1) % arrays.len()]);
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(16, 256),
-                &[
-                    MultiArg::array(src),
-                    MultiArg::array(dst),
-                    MultiArg::scalar(1.0),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
-            let mem = m.scheduler_stats().memory;
+            scale
+                .launch(
+                    gpu_sim::Grid::d1(16, 256),
+                    &[
+                        Arg::array(src),
+                        Arg::array(dst),
+                        Arg::scalar(1.0),
+                        Arg::scalar(n as f64),
+                    ],
+                )
+                .unwrap();
+            let mem = g.scheduler_stats().memory;
             for (d, &r) in mem.resident_bytes.iter().enumerate() {
                 assert!(r <= capacity, "cycle {cycle}: device {d} over capacity");
             }
         }
-        m.sync();
-        m.clear_timeline();
-        let st = m.scheduler_stats();
+        g.sync();
+        g.clear_timeline();
+        let st = g.scheduler_stats();
         let ctx = format!("cycle {cycle}: {:?}", st.memory);
         // Everything per-vertex drained, as always...
         assert_eq!(st.live_vertices, 0, "{ctx}");
@@ -302,12 +296,12 @@ fn finite_memory_soak_drains_to_the_live_working_set() {
         }
         // The memory timeline is cleared with the engine timeline, so a
         // long-running service stays bounded.
-        assert!(m.memory_timeline().iter().all(|s| s.is_empty()), "{ctx}");
+        assert!(g.memory_timeline().iter().all(|s| s.is_empty()), "{ctx}");
         assert!(st.memory.evictions >= last_evictions, "monotone counter");
         last_evictions = st.memory.evictions;
     }
     assert!(last_evictions > 0, "the working set must have evicted");
-    assert_eq!(m.races(), 0);
+    assert_eq!(g.races().len(), 0);
 }
 
 #[test]
@@ -317,43 +311,48 @@ fn cluster_soak_drains_the_cluster_section_after_every_sync() {
     // drained after each sync — per-node in-flight work back to zero —
     // while the partition and cross-node counters stay monotone.
     use gpu_sim::TopologyKind;
-    use grcuda::{Cluster, MultiArg, MultiGpu, NicKind, PlacementPolicy};
+    use grcuda::{BatchLaunch, Cluster, NicKind, PlacementPolicy};
     use kernels::util::SCALE;
 
     let cluster = Cluster::new(2, 2, TopologyKind::PcieOnly, NicKind::Ethernet25g);
-    let mut m = MultiGpu::with_cluster(
+    let g = GrCuda::with_cluster(
         DeviceProfile::tesla_p100(),
         &cluster,
         Options::parallel(),
         PlacementPolicy::NodeAware,
     );
+    let scale = g.build_kernel(&SCALE).unwrap();
     let n = 1 << 12;
-    let pairs: Vec<_> = (0..4).map(|_| (m.array_f32(n), m.array_f32(n))).collect();
+    let pairs: Vec<_> = (0..4).map(|_| (g.array_f32(n), g.array_f32(n))).collect();
     for (x, _) in &pairs {
-        m.write_f32(x, &vec![1.0; n]);
+        x.fill_f32(1.0);
     }
     let mut last_batches = 0;
     for cycle in 0..20 {
-        let calls: Vec<_> = pairs
+        let args: Vec<_> = pairs
             .iter()
             .map(|(x, y)| {
                 let (src, dst) = if cycle % 2 == 0 { (x, y) } else { (y, x) };
-                (
-                    &SCALE,
-                    gpu_sim::Grid::d1(16, 256),
-                    vec![
-                        MultiArg::array(src),
-                        MultiArg::array(dst),
-                        MultiArg::scalar(1.0),
-                        MultiArg::scalar(n as f64),
-                    ],
-                )
+                [
+                    Arg::array(src),
+                    Arg::array(dst),
+                    Arg::scalar(1.0),
+                    Arg::scalar(n as f64),
+                ]
             })
             .collect();
-        m.launch_batch(&calls).unwrap();
-        m.sync();
-        m.clear_timeline();
-        let st = m.scheduler_stats();
+        let calls: Vec<_> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &scale,
+                grid: gpu_sim::Grid::d1(16, 256),
+                args,
+            })
+            .collect();
+        g.launch_batch(&calls).unwrap();
+        g.sync();
+        g.clear_timeline();
+        let st = g.scheduler_stats();
         let ctx = format!("cycle {cycle}: {:?}", st.cluster);
         assert_eq!(st.cluster.nodes, 2, "{ctx}");
         assert_eq!(st.cluster.node_inflight, vec![0, 0], "{ctx}");
@@ -367,7 +366,7 @@ fn cluster_soak_drains_the_cluster_section_after_every_sync() {
         );
     }
     assert_eq!(last_batches, 20);
-    assert_eq!(m.races(), 0);
+    assert_eq!(g.races().len(), 0);
 }
 
 #[test]

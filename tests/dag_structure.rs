@@ -2,9 +2,9 @@
 //! match the structures the paper draws in Fig. 6 — without ever being
 //! told the plan's explicit edges.
 
-use benchmarks::{scales, Bench, PlanArg};
+use benchmarks::{scales, Bench};
 use gpu_sim::DeviceProfile;
-use grcuda::{Arg, GrCuda, Options};
+use grcuda::{GrCuda, Options};
 
 /// Replay a benchmark through the scheduler and return (DAG size,
 /// inferred edges as (from, to) pairs over op indices).
@@ -17,15 +17,8 @@ fn inferred_structure(b: Bench) -> (usize, Vec<(usize, usize)>) {
     let base = g.dag_len();
     for op in &spec.ops {
         let k = g.build_kernel(op.def).unwrap();
-        let args: Vec<Arg> = op
-            .args
-            .iter()
-            .map(|a| match a {
-                PlanArg::Arr(i) => Arg::array(&arrays[*i]),
-                PlanArg::Scalar(v) => Arg::scalar(*v),
-            })
-            .collect();
-        k.launch(op.grid, &args).unwrap();
+        k.launch(op.grid, &benchmarks::grcuda_args(op, &arrays))
+            .unwrap();
     }
     // Snapshot the DOT while the graph is live: `sync()` retires and
     // *compacts* the DAG, reclaiming the very structure we want to read.

@@ -3,7 +3,7 @@
 //! multi-GPU scheduler (§VI).
 
 use gpu_sim::DeviceProfile;
-use grcuda::{Arg, GrCuda, MultiArg, MultiGpu, Options, PlacementPolicy};
+use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy, Topology, TopologyKind};
 use kernels::util::SCALE;
 use kernels::vec_ops::SQUARE;
 
@@ -82,33 +82,42 @@ fn history_tracks_per_kernel_samples() {
     assert_eq!(g.history_samples("scale"), 3);
 }
 
+/// `n` identical devices behind PCIe host links only.
+fn pcie_box(dev: DeviceProfile, n: usize, policy: PlacementPolicy) -> GrCuda {
+    let topology = Topology::preset(TopologyKind::PcieOnly, n, &dev);
+    GrCuda::with_topology(dev, topology, Options::parallel(), policy)
+}
+
+/// `[src, dst, a, n]` — the argument list of `SCALE`.
+fn scale_args(src: &DeviceArray, dst: &DeviceArray, a: f64) -> [Arg; 4] {
+    [
+        Arg::array(src),
+        Arg::array(dst),
+        Arg::scalar(a),
+        Arg::scalar(src.len() as f64),
+    ]
+}
+
 #[test]
 fn multi_gpu_locality_beats_round_robin_on_chains() {
     // A long dependent chain: locality-aware stays put; round-robin
     // ping-pongs the data between devices and pays migrations.
     let run = |policy: PlacementPolicy| -> (f64, usize) {
-        let mut m = MultiGpu::new(DeviceProfile::tesla_p100(), 2, Options::parallel(), policy);
+        let g = pcie_box(DeviceProfile::tesla_p100(), 2, policy);
+        let scale = g.build_kernel(&SCALE).unwrap();
         let n = 1 << 20;
-        let x = m.array_f32(n);
-        let y = m.array_f32(n);
-        m.write_f32(&x, &vec![1.0; n]);
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.fill_f32(1.0);
         for i in 0..6 {
             let (src, dst) = if i % 2 == 0 { (&x, &y) } else { (&y, &x) };
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(64, 256),
-                &[
-                    MultiArg::array(src),
-                    MultiArg::array(dst),
-                    MultiArg::scalar(1.01),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
+            scale
+                .launch(gpu_sim::Grid::d1(64, 256), &scale_args(src, dst, 1.01))
+                .unwrap();
         }
-        m.sync();
-        assert_eq!(m.races(), 0);
-        (m.makespan(), m.migration_stats().0)
+        g.sync();
+        assert_eq!(g.races().len(), 0);
+        (g.now(), g.migration_stats().0)
     };
     let (t_local, m_local) = run(PlacementPolicy::LocalityAware);
     let (t_rr, m_rr) = run(PlacementPolicy::RoundRobin);
@@ -123,42 +132,19 @@ fn multi_gpu_locality_beats_round_robin_on_chains() {
 #[test]
 fn multi_gpu_results_are_policy_independent() {
     let run = |policy: PlacementPolicy| -> Vec<f32> {
-        let mut m = MultiGpu::new(
-            DeviceProfile::gtx1660_super(),
-            3,
-            Options::parallel(),
-            policy,
-        );
+        let g = pcie_box(DeviceProfile::gtx1660_super(), 3, policy);
+        let scale = g.build_kernel(&SCALE).unwrap();
         let n = 4096;
-        let x = m.array_f32(n);
-        let y = m.array_f32(n);
-        m.write_f32(&x, &(0..n).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.copy_from_f32(&(0..n).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
+        let grid = gpu_sim::Grid::d1(64, 256);
         for _ in 0..4 {
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(64, 256),
-                &[
-                    MultiArg::array(&x),
-                    MultiArg::array(&y),
-                    MultiArg::scalar(2.0),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(64, 256),
-                &[
-                    MultiArg::array(&y),
-                    MultiArg::array(&x),
-                    MultiArg::scalar(0.5),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
+            scale.launch(grid, &scale_args(&x, &y, 2.0)).unwrap();
+            scale.launch(grid, &scale_args(&y, &x, 0.5)).unwrap();
         }
-        m.sync();
-        m.read_f32(&x)
+        g.sync();
+        x.to_vec_f32()
     };
     let a = run(PlacementPolicy::SingleGpu);
     let b = run(PlacementPolicy::RoundRobin);

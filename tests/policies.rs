@@ -3,14 +3,21 @@
 //! performance and placement, never results.
 
 use benchmarks::{
-    cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu,
+    cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu_topo,
     scales, transfer_chain, Bench, ClusterSuite, MixedScale,
 };
-use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, TopologyKind};
+use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Topology, TopologyKind};
 use grcuda::{
-    Cluster, DepStreamPolicy, MultiArg, MultiGpu, NicKind, Options, PlacementPolicy,
-    PrefetchPolicy, StreamReusePolicy,
+    Arg, Cluster, DepStreamPolicy, GrCuda, NicKind, Options, PlacementPolicy, PrefetchPolicy,
+    StreamReusePolicy,
 };
+
+/// `n` P100s behind PCIe host links only.
+fn p100_box(n: usize, policy: PlacementPolicy) -> GrCuda {
+    let dev = DeviceProfile::tesla_p100();
+    let topology = Topology::preset(TopologyKind::PcieOnly, n, &dev);
+    GrCuda::with_topology(dev, topology, Options::parallel(), policy)
+}
 
 #[test]
 fn every_policy_combination_is_correct() {
@@ -94,30 +101,22 @@ fn single_stream_child_policy_reduces_concurrency() {
 /// Drive a strictly serial kernel chain through a 2-device scheduler and
 /// report `(migration count, migrated bytes, final y[7])`.
 fn dependent_chain(policy: PlacementPolicy) -> (usize, usize, f32) {
-    let mut m = MultiGpu::new(DeviceProfile::tesla_p100(), 2, Options::parallel(), policy);
+    let g = p100_box(2, policy);
     let n = 1 << 18;
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    m.write_f32(&x, &vec![1.0; n]);
-    use kernels::util::SCALE;
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    x.fill_f32(1.0);
+    let scale = g.build_kernel(&kernels::util::SCALE).unwrap();
     for i in 0..8 {
         let (src, dst) = if i % 2 == 0 { (&x, &y) } else { (&y, &x) };
-        m.launch(
-            &SCALE,
-            Grid::d1(64, 256),
-            &[
-                MultiArg::array(src),
-                MultiArg::array(dst),
-                MultiArg::scalar(2.0),
-                MultiArg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
+        scale
+            .launch(Grid::d1(64, 256), &scale_args(src, dst, 2.0))
+            .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
-    let (migs, bytes) = m.migration_stats();
-    (migs, bytes, m.get_f32(&y, 7))
+    g.sync();
+    assert_eq!(g.races().len(), 0);
+    let (migs, bytes) = g.migration_stats();
+    (migs, bytes, y.get_f32(7))
 }
 
 #[test]
@@ -258,40 +257,42 @@ struct Observables {
     data: Vec<f32>,
 }
 
-/// Drive the same small workload through any `MultiGpu` and report
-/// every observable the committed bench metrics are built from.
-fn observables(mut m: MultiGpu) -> Observables {
-    use kernels::util::SCALE;
+/// `[src, dst, a, n]` — the argument list of `SCALE`.
+fn scale_args(src: &grcuda::DeviceArray, dst: &grcuda::DeviceArray, a: f64) -> [Arg; 4] {
+    [
+        Arg::array(src),
+        Arg::array(dst),
+        Arg::scalar(a),
+        Arg::scalar(src.len() as f64),
+    ]
+}
+
+/// Drive the same small workload through any runtime and report every
+/// observable the committed bench metrics are built from.
+fn observables(g: GrCuda) -> Observables {
     let n = 1 << 14;
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    m.write_f32(&x, &vec![1.5; n]);
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    x.fill_f32(1.5);
+    let scale = g.build_kernel(&kernels::util::SCALE).unwrap();
     for i in 0..6usize {
         let (src, dst) = if i.is_multiple_of(2) {
             (&x, &y)
         } else {
             (&y, &x)
         };
-        m.launch(
-            &SCALE,
-            Grid::d1(64, 256),
-            &[
-                MultiArg::array(src),
-                MultiArg::array(dst),
-                MultiArg::scalar(2.0),
-                MultiArg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
+        scale
+            .launch(Grid::d1(64, 256), &scale_args(src, dst, 2.0))
+            .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
+    g.sync();
+    assert_eq!(g.races().len(), 0);
     Observables {
-        makespan: m.makespan(),
-        migrations: m.migration_stats(),
-        host_migrations: m.host_migration_stats(),
-        host_link_bytes: m.host_link_bytes(),
-        data: m.read_f32(&x),
+        makespan: g.now(),
+        migrations: g.migration_stats(),
+        host_migrations: g.host_migration_stats(),
+        host_link_bytes: g.host_link_bytes(),
+        data: x.to_vec_f32(),
     }
 }
 
@@ -307,15 +308,10 @@ fn single_node_clusters_are_bit_identical_to_the_single_box_path() {
         PlacementPolicy::NodeAware,
     ] {
         let cluster = Cluster::new(1, 4, TopologyKind::NvlinkPair, NicKind::Ethernet25g);
-        let clustered = MultiGpu::with_cluster(dev(), &cluster, Options::parallel(), policy);
+        let clustered = GrCuda::with_cluster(dev(), &cluster, Options::parallel(), policy);
         assert_eq!(clustered.node_count(), 1);
-        let boxed = MultiGpu::with_topology(
-            dev(),
-            4,
-            Options::parallel(),
-            policy,
-            TopologyKind::NvlinkPair,
-        );
+        let topology = Topology::preset(TopologyKind::NvlinkPair, 4, &dev());
+        let boxed = GrCuda::with_topology(dev(), topology, Options::parallel(), policy);
         let a = observables(clustered);
         let b = observables(boxed);
         assert_eq!(a, b, "{policy:?} diverged between cluster and box");
@@ -451,28 +447,21 @@ fn out_of_memory_is_a_loud_launch_error() {
     use kernels::util::SCALE;
     // 64 KiB capacity, 256 KiB arrays: no device can ever hold the
     // argument set — the launch must fail recoverably, not panic.
-    let mut m = MultiGpu::with_memory(
-        DeviceProfile::tesla_p100(),
-        2,
+    let dev = DeviceProfile::tesla_p100();
+    let topology = Topology::preset(TopologyKind::PcieOnly, 2, &dev)
+        .with_memory(MemoryConfig::with_capacity(64 << 10));
+    let g = GrCuda::with_topology(
+        dev,
+        topology,
         Options::parallel(),
         PlacementPolicy::MemoryAware,
-        TopologyKind::PcieOnly,
-        MemoryConfig::with_capacity(64 << 10),
     );
+    let scale = g.build_kernel(&SCALE).unwrap();
     let n = 1 << 16;
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    let err = m
-        .launch(
-            &SCALE,
-            Grid::d1(64, 256),
-            &[
-                MultiArg::array(&x),
-                MultiArg::array(&y),
-                MultiArg::scalar(2.0),
-                MultiArg::scalar(n as f64),
-            ],
-        )
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    let err = scale
+        .launch(Grid::d1(64, 256), &scale_args(&x, &y, 2.0))
         .unwrap_err();
     match err {
         grcuda::LaunchError::OutOfMemory {
@@ -485,21 +474,13 @@ fn out_of_memory_is_a_loud_launch_error() {
     }
     assert!(err.to_string().contains("out of memory"));
     // A fitting launch on the same runtime still works.
-    let small = m.array_f32(1 << 10);
-    let small2 = m.array_f32(1 << 10);
-    m.launch(
-        &SCALE,
-        Grid::d1(16, 256),
-        &[
-            MultiArg::array(&small),
-            MultiArg::array(&small2),
-            MultiArg::scalar(2.0),
-            MultiArg::scalar((1 << 10) as f64),
-        ],
-    )
-    .unwrap();
-    m.sync();
-    assert_eq!(m.races(), 0);
+    let small = g.array_f32(1 << 10);
+    let small2 = g.array_f32(1 << 10);
+    scale
+        .launch(Grid::d1(16, 256), &scale_args(&small, &small2, 2.0))
+        .unwrap();
+    g.sync();
+    assert_eq!(g.races().len(), 0);
 }
 
 #[test]
@@ -507,37 +488,32 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
     // 8 independent pricing kernels on 4 devices: min-device-load
     // placement must reach every device and spread the work evenly.
     use kernels::black_scholes::BLACK_SCHOLES;
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        4,
-        Options::parallel(),
-        PlacementPolicy::StreamAware,
-    );
+    let g = p100_box(4, PlacementPolicy::StreamAware);
+    let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
     let n = 1 << 18;
     let mut counts = vec![0usize; 4];
     for _ in 0..8 {
-        let x = m.array_f64(n);
-        let y = m.array_f64(n);
-        m.write_f64(&x, &vec![100.0; n]);
-        let d = m
-            .launch(
-                &BLACK_SCHOLES,
+        let x = g.array_f64(n);
+        let y = g.array_f64(n);
+        x.fill_f64(100.0);
+        let d = bs
+            .launch_placed(
                 Grid::d1(64, 256),
                 &[
-                    MultiArg::array(&x),
-                    MultiArg::array(&y),
-                    MultiArg::scalar(n as f64),
-                    MultiArg::scalar(100.0),
-                    MultiArg::scalar(0.02),
-                    MultiArg::scalar(0.3),
-                    MultiArg::scalar(1.0),
+                    Arg::array(&x),
+                    Arg::array(&y),
+                    Arg::scalar(n as f64),
+                    Arg::scalar(100.0),
+                    Arg::scalar(0.02),
+                    Arg::scalar(0.3),
+                    Arg::scalar(1.0),
                 ],
             )
             .unwrap();
-        counts[d] += 1;
+        counts[d as usize] += 1;
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
+    g.sync();
+    assert_eq!(g.races().len(), 0);
     assert!(
         counts.iter().all(|&c| c >= 1),
         "every device must carry work: {counts:?}"
@@ -548,8 +524,8 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
         "fan-out must balance across devices: {counts:?}"
     );
     // The balance shows on the per-device timeline gauges too.
-    let times = m.device_times();
-    assert_eq!(times.len(), 4);
+    let tl = g.timeline();
+    let times: Vec<f64> = (0..4).map(|d| tl.device_span(d)).collect();
     assert!(times.iter().all(|&t| t > 0.0), "{times:?}");
 }
 
@@ -563,7 +539,15 @@ fn placement_policies_compute_identical_results_on_every_suite() {
     for b in Bench::ALL {
         let spec = b.build(scales::tiny(b));
         for policy in PlacementPolicy::ALL {
-            let r = run_multi_gpu(&spec, &dev, Options::parallel(), 4, policy, 2);
+            let r = run_multi_gpu_topo(
+                &spec,
+                &dev,
+                Options::parallel(),
+                4,
+                policy,
+                TopologyKind::PcieOnly,
+                2,
+            );
             assert_eq!(r.run.races, 0, "{} {policy:?}", spec.name);
             r.run
                 .valid

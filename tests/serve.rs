@@ -7,7 +7,7 @@ use grcuda::serve::{
     ArgSpec, CallSpec, Client, ElemKind, Fairness, RequestSpec, ServeConfig, ServeError, Server,
     ServiceCore,
 };
-use grcuda::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Options};
+use grcuda::{DeviceProfile, EvictionPolicy, Grid, LaunchError, MemoryConfig, Options};
 use kernels::util::{AXPY, SCALE};
 use metrics::LatencySummary;
 
@@ -108,8 +108,9 @@ fn admission_control_rejects_impossible_launches_without_stalling_others() {
     let greedy = core.add_tenant("greedy", 1);
     let modest = core.add_tenant("modest", 1);
 
-    // Greedy allocates an array that alone exceeds device capacity.
+    // Greedy allocates arrays that each alone exceed device capacity.
     let big = core.alloc(greedy, ElemKind::F32, 4 * n).unwrap();
+    let big_out = core.alloc(greedy, ElemKind::F32, 4 * n).unwrap();
     let kg = core.register_kernel(greedy, &SCALE).unwrap();
     let impossible = RequestSpec {
         calls: vec![CallSpec {
@@ -117,17 +118,18 @@ fn admission_control_rejects_impossible_launches_without_stalling_others() {
             grid: Grid::d1(16, 128),
             args: vec![
                 ArgSpec::Array(big),
-                ArgSpec::Array(big),
+                ArgSpec::Array(big_out),
                 ArgSpec::Scalar(1.0),
                 ArgSpec::Scalar((4 * n) as f64),
             ],
         }],
         deadline_us: None,
     };
-    // SCALE rejects aliased src/dst? No — the runtime doesn't care;
-    // only the byte bound matters here, and it's exceeded.
     let err = core.submit(greedy, impossible.clone()).unwrap_err();
-    assert!(matches!(err, ServeError::Rejected(_)), "got {err:?}");
+    assert!(
+        matches!(err, ServeError::Rejected(LaunchError::OutOfMemory { .. })),
+        "got {err:?}"
+    );
 
     // The rejection is recoverable: the same tenant can keep
     // submitting requests that fit, and the other tenant is unaffected.
@@ -161,6 +163,48 @@ fn admission_control_rejects_impossible_launches_without_stalling_others() {
     assert_eq!((gs.submitted, gs.completed, gs.rejected), (1, 1, 2));
     assert_eq!((ms.submitted, ms.completed, ms.rejected), (1, 1, 0));
     assert_eq!(core.read(modest, ym, 0).unwrap(), 6.0);
+    assert_eq!(core.runtime().races().len(), 0);
+}
+
+#[test]
+fn aliased_requests_are_rejected_at_submit() {
+    let n = 256;
+    let mut core = ServiceCore::new(base_config());
+    let t = core.add_tenant("aliasing", 1);
+    let (x, z) = (
+        core.alloc(t, ElemKind::F32, n).unwrap(),
+        core.alloc(t, ElemKind::F32, n).unwrap(),
+    );
+    core.fill(t, x, 2.0).unwrap();
+    let k = core.register_kernel(t, &SCALE).unwrap();
+    let scale = |src, dst| RequestSpec {
+        calls: vec![CallSpec {
+            kernel: k,
+            grid: Grid::d1(4, 64),
+            args: vec![
+                ArgSpec::Array(src),
+                ArgSpec::Array(dst),
+                ArgSpec::Scalar(2.0),
+                ArgSpec::Scalar(n as f64),
+            ],
+        }],
+        deadline_us: None,
+    };
+    let err = core.submit(t, scale(z, z)).unwrap_err();
+    let want = LaunchError::Aliased {
+        kernel: "scale".into(),
+        first: 0,
+        second: 1,
+    };
+    assert_eq!(err, ServeError::Rejected(want));
+    // Nothing reached the scheduler, and the tenant keeps working.
+    assert_eq!(core.runtime().dag_len(), 0);
+    core.submit(t, scale(x, z)).unwrap();
+    core.drain_all();
+    core.runtime().sync();
+    let st = core.tenant_stats(t).unwrap();
+    assert_eq!((st.submitted, st.completed, st.rejected), (1, 1, 1));
+    assert_eq!(core.read(t, z, n - 1).unwrap(), 4.0);
     assert_eq!(core.runtime().races().len(), 0);
 }
 
